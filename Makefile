@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: check build test race vet bench bench-smoke benchdiff chaos obs-smoke cluster partition syndicate economics
+.PHONY: check fmt build test race vet bench bench-smoke benchdiff chaos obs-smoke cluster partition syndicate economics
 
-# The full pre-merge gate: vet, build, the test suite under the race
-# detector (the replicate runner, signal engine, httpgate and detect
+# The full pre-merge gate: gofmt, vet, build, the test suite under the
+# race detector (the replicate runner, signal engine, httpgate and detect
 # monitors are concurrent), the chaos suite, the cluster suite, a
 # one-iteration benchmark compile+run, and the telemetry smoke test.
-check: vet build race chaos cluster partition syndicate economics bench-smoke obs-smoke
+check: fmt vet build race chaos cluster partition syndicate economics bench-smoke obs-smoke
+
+# fmt fails if any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # cluster runs the multi-node gate-fleet suite — routing, anti-entropy
 # replication and the worker/node golden determinism tests — under the
@@ -23,11 +27,12 @@ partition:
 
 # syndicate runs the E17 entity-linkage suites under the race detector:
 # the entitygraph package, the gate's entity layer, the detect arm
-# registry, and the coordinated-ring scenario goldens (worker-count
-# determinism, leak contrast, honest admit).
+# registry, the write hooks feeding the graph and the blocklist with the
+# query scanner they read, and the coordinated-ring scenario goldens
+# (worker-count determinism, leak contrast, honest admit).
 syndicate:
 	$(GO) test -race -count=1 ./internal/entitygraph
-	$(GO) test -race -count=1 -run 'Syndicate|Entity|Arm|GraphFeeder' ./cmd/fraudsim ./internal/loadgen ./internal/httpgate ./internal/detect
+	$(GO) test -race -count=1 -run 'Syndicate|Entity|Arm|GraphFeeder|RuleDeployer|QueryValue' ./cmd/fraudsim ./internal/loadgen ./internal/httpgate ./internal/detect
 
 # economics runs the E18 attacker-economics suites under the race
 # detector: the account store, the gate's account layer, the decoy set,

@@ -304,7 +304,7 @@ func New(cfg Config) *Cluster {
 		}
 		if cfg.ResourceLimit > 0 {
 			gcfg.ResourceKey = func(r *http.Request) string {
-				return r.URL.Query().Get("pnr")
+				return httpgate.QueryValue(r.URL.RawQuery, "pnr")
 			}
 		}
 		var opts []httpgate.Option

@@ -147,10 +147,10 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 		Top10Streaming:             streamTop,
 		GlobalIncreasePctStreaming: streamGlobal,
 		GlobalIncreasePct:          sms.GlobalIncreasePct(before, after),
-		AttackCountries:   len(attackCountries),
-		PumpMessages:      pumpMsgs,
-		AppCostUSD:        env.Gateway.CostFor(pumpActorID),
-		FraudRevenueUSD:   env.Gateway.RevenueFor(pumpActorID),
+		AttackCountries:            len(attackCountries),
+		PumpMessages:               pumpMsgs,
+		AppCostUSD:                 env.Gateway.CostFor(pumpActorID),
+		FraudRevenueUSD:            env.Gateway.RevenueFor(pumpActorID),
 	}, nil
 }
 

@@ -24,9 +24,17 @@
 // co-occurrence edges. When a budget is exceeded the graph decays
 // deterministically — the nodes least recently observed (ties broken by
 // key) are evicted down to 3/4 of the budget and the union-find is
-// rebuilt from the surviving edges, preserving per-node accrued score
-// and sticky flags. Two graphs fed the same observation sequence evict
-// identically, which is what the loadgen determinism goldens rely on.
+// rebuilt from the surviving edges, in sorted edge order, preserving
+// per-node accrued score and sticky flags. Two graphs fed the same
+// observation sequence evict identically, down to the last bit of every
+// component score, which is what the loadgen determinism goldens rely on.
+//
+// Edges are keyed by the packed pair of their endpoints' node indices, so
+// the write path hashes one integer per link; eviction, which compacts
+// the indices, remaps the surviving edges through an old→new table.
+// ObserveBytes is the allocation-free write entry point for callers that
+// assemble keys in a reused byte buffer: a known entity is resolved
+// without materialising a string.
 //
 // The graph is safe for concurrent use: observations take the write
 // lock; lookups — including the gate hot path's FlaggedBytes — take the
@@ -35,8 +43,9 @@
 package entitygraph
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -181,10 +190,19 @@ type node struct {
 	flagged  bool
 }
 
-// edgeKey identifies a co-occurrence edge by its endpoint keys, ordered
-// so (a,b) and (b,a) are one edge. Keys, not node indices: indices are
-// compacted on eviction, keys are stable.
-type edgeKey struct{ a, b string }
+// edgeID identifies the co-occurrence edge between node indices a and b:
+// the smaller index in the high half, so (a,b) and (b,a) are one edge and
+// sorted IDs order edges by (lo, hi). Indices are compacted on eviction,
+// which remaps every surviving ID.
+func edgeID(a, b int32) uint64 {
+	if b < a {
+		a, b = b, a
+	}
+	return uint64(uint32(a))<<32 | uint64(uint32(b))
+}
+
+// edgeEnds unpacks an edgeID into its (lo, hi) node indices.
+func edgeEnds(id uint64) (lo, hi int32) { return int32(id >> 32), int32(uint32(id)) }
 
 // Graph is the incremental entity-linkage graph.
 type Graph struct {
@@ -193,7 +211,7 @@ type Graph struct {
 	mu    sync.RWMutex
 	idx   map[string]int32
 	nodes []node
-	edges map[edgeKey]uint64 // last tick the co-occurrence was observed
+	edges map[uint64]uint64 // edgeID → last tick the co-occurrence was observed
 
 	tick       uint64
 	components int
@@ -209,7 +227,7 @@ func New(cfg Config) *Graph {
 	return &Graph{
 		cfg:   cfg,
 		idx:   make(map[string]int32),
-		edges: make(map[edgeKey]uint64),
+		edges: make(map[uint64]uint64),
 	}
 }
 
@@ -225,14 +243,45 @@ func (g *Graph) Config() Config { return g.cfg }
 func (g *Graph) Observe(keys []string, weak float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-
 	ids := g.scratch[:0]
 	for _, k := range keys {
 		if k == "" {
 			continue
 		}
-		ids = append(ids, g.getOrAdd(k))
+		i, ok := g.idx[k]
+		if !ok {
+			i = g.add(k)
+		}
+		ids = append(ids, i)
 	}
+	g.observeLocked(ids, weak)
+}
+
+// ObserveBytes is Observe for keys held in byte slices, typically
+// assembled in a caller's reused buffer. A known entity is resolved
+// without allocating; only a new node copies its key into a string. The
+// graph keeps no reference to keys or their backing arrays.
+func (g *Graph) ObserveBytes(keys [][]byte, weak float64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ids := g.scratch[:0]
+	for _, k := range keys {
+		if len(k) == 0 {
+			continue
+		}
+		i, ok := g.idx[string(k)]
+		if !ok {
+			i = g.add(string(k))
+		}
+		ids = append(ids, i)
+	}
+	g.observeLocked(ids, weak)
+}
+
+// observeLocked is the write core both Observe entry points share: it
+// stamps, links and scores the resolved node indices ids, then decays
+// if a budget is exceeded. Callers hold the write lock.
+func (g *Graph) observeLocked(ids []int32, weak float64) {
 	g.scratch = ids
 	if len(ids) == 0 {
 		return
@@ -257,12 +306,9 @@ func (g *Graph) Observe(keys []string, weak float64) {
 	}
 }
 
-// getOrAdd resolves key to its node index, inserting a fresh singleton
-// component if unseen. Callers hold the write lock.
-func (g *Graph) getOrAdd(key string) int32 {
-	if i, ok := g.idx[key]; ok {
-		return i
-	}
+// add inserts key, known to be unseen, as a fresh singleton component.
+// Callers hold the write lock.
+func (g *Graph) add(key string) int32 {
 	i := int32(len(g.nodes))
 	typ := KeyType(key)
 	g.nodes = append(g.nodes, node{
@@ -280,11 +326,7 @@ func (g *Graph) link(a, b int32) {
 	if a == b {
 		return
 	}
-	ka, kb := g.nodes[a].key, g.nodes[b].key
-	if kb < ka {
-		ka, kb = kb, ka
-	}
-	g.edges[edgeKey{ka, kb}] = g.tick
+	g.edges[edgeID(a, b)] = g.tick
 	g.union(a, b)
 }
 
@@ -347,10 +389,11 @@ func (g *Graph) refreshFlag(root int32) {
 
 // evict is the deterministic decay step: drop the least recently
 // observed nodes (ties by key) down to 3/4 of the node budget, drop
-// edges that lost an endpoint (then the oldest edges if still over
-// budget), and rebuild the union-find from the survivors. Per-node
-// accrued score and sticky flags survive; a flagged component that the
-// eviction splits leaves every surviving fragment flagged.
+// edges that lost an endpoint (then the oldest edges, ties by endpoint
+// keys, if still over budget), and rebuild the union-find from the
+// survivors. Per-node accrued score and sticky flags survive; a flagged
+// component that the eviction splits leaves every surviving fragment
+// flagged.
 func (g *Graph) evict() {
 	// Sticky flags must survive the rebuild at node granularity.
 	for i := range g.nodes {
@@ -359,24 +402,32 @@ func (g *Graph) evict() {
 		}
 	}
 
+	// remap takes each old node index to its new one, or -1 if evicted.
+	remap := make([]int32, len(g.nodes))
 	keep := g.nodes
 	if target := g.cfg.MaxNodes * 3 / 4; len(g.nodes) > target {
 		order := make([]int32, len(g.nodes))
 		for i := range order {
 			order[i] = int32(i)
+			remap[i] = -1
 		}
-		sort.Slice(order, func(a, b int) bool {
-			na, nb := &g.nodes[order[a]], &g.nodes[order[b]]
-			if na.tick != nb.tick {
-				return na.tick < nb.tick
+		slices.SortFunc(order, func(a, b int32) int {
+			na, nb := &g.nodes[a], &g.nodes[b]
+			if c := cmp.Compare(na.tick, nb.tick); c != 0 {
+				return c
 			}
-			return na.key < nb.key
+			return cmp.Compare(na.key, nb.key)
 		})
 		keep = make([]node, 0, target)
 		for _, i := range order[len(order)-target:] {
+			remap[i] = int32(len(keep))
 			keep = append(keep, g.nodes[i])
 		}
 		g.evicted += uint64(len(g.nodes) - target)
+	} else {
+		for i := range remap {
+			remap[i] = int32(i)
+		}
 	}
 
 	idx := make(map[string]int32, len(keep))
@@ -391,50 +442,55 @@ func (g *Graph) evict() {
 	g.nodes, g.idx = keep, idx
 	g.components = len(keep)
 
-	// Surviving edges: both endpoints kept. Determinism note: map
-	// iteration order is random, but edge filtering is order-independent
-	// and the rebuild unions below are commutative in their aggregates,
-	// so the resulting components, scores and flags are identical across
-	// runs; only when the edge budget itself overflows is an explicit
-	// sort imposed.
-	for ek := range g.edges {
-		if _, oka := idx[ek.a]; !oka {
-			delete(g.edges, ek)
-			continue
-		}
-		if _, okb := idx[ek.b]; !okb {
-			delete(g.edges, ek)
+	// Surviving edges: both endpoints kept, renumbered.
+	ids := make([]uint64, 0, len(g.edges))
+	edges := make(map[uint64]uint64, len(g.edges))
+	for id, t := range g.edges {
+		a, b := edgeEnds(id)
+		if ra, rb := remap[a], remap[b]; ra >= 0 && rb >= 0 {
+			nid := edgeID(ra, rb)
+			edges[nid] = t
+			ids = append(ids, nid)
 		}
 	}
-	if target := g.cfg.MaxEdges * 3 / 4; len(g.edges) > target {
-		type aged struct {
-			ek   edgeKey
-			tick uint64
-		}
-		all := make([]aged, 0, len(g.edges))
-		for ek, t := range g.edges {
-			all = append(all, aged{ek, t})
-		}
-		sort.Slice(all, func(a, b int) bool {
-			if all[a].tick != all[b].tick {
-				return all[a].tick < all[b].tick
+	g.edges = edges
+	if target := g.cfg.MaxEdges * 3 / 4; len(ids) > target {
+		// Drop the oldest edges, ties by their endpoints' keys: the order
+		// is stable across index compaction.
+		ends := func(id uint64) (string, string) {
+			a, b := edgeEnds(id)
+			ka, kb := g.nodes[a].key, g.nodes[b].key
+			if kb < ka {
+				ka, kb = kb, ka
 			}
-			if all[a].ek.a != all[b].ek.a {
-				return all[a].ek.a < all[b].ek.a
+			return ka, kb
+		}
+		slices.SortFunc(ids, func(x, y uint64) int {
+			if c := cmp.Compare(edges[x], edges[y]); c != 0 {
+				return c
 			}
-			return all[a].ek.b < all[b].ek.b
+			xa, xb := ends(x)
+			ya, yb := ends(y)
+			if c := cmp.Compare(xa, ya); c != 0 {
+				return c
+			}
+			return cmp.Compare(xb, yb)
 		})
-		for _, e := range all[:len(all)-target] {
-			delete(g.edges, e.ek)
+		for _, id := range ids[:len(ids)-target] {
+			delete(edges, id)
 		}
+		ids = ids[len(ids)-target:]
 	}
 
-	g.flagRoots = 0
-	for ek := range g.edges {
-		g.union(idx[ek.a], idx[ek.b])
+	// Unions are folded in sorted edge order: float score sums depend on
+	// the grouping, so map-iteration order would make them differ in the
+	// last bits from run to run.
+	slices.Sort(ids)
+	for _, id := range ids {
+		g.union(edgeEnds(id))
 	}
-	// union counts a flagged-flagged merge as losing one flagged root
-	// starting from flagRoots = 0, so recount from the rebuilt forest.
+	// union counts a flagged-flagged merge as losing one flagged root, so
+	// recount from the rebuilt forest.
 	g.flagRoots = 0
 	for i := range g.nodes {
 		if g.nodes[i].parent == int32(i) && g.nodes[i].flagged {

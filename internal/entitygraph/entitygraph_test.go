@@ -2,6 +2,8 @@ package entitygraph
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -200,6 +202,112 @@ func TestEvictionRecountsFlaggedComponents(t *testing.T) {
 	}
 }
 
+// TestEvictionScoreBitIdentical is the regression for eviction unioning
+// surviving edges in map-iteration order: the hub's component score is a
+// float sum whose grouping followed that order, so identical runs used to
+// disagree in the last bits. Every run must now give one bit pattern.
+func TestEvictionScoreBitIdentical(t *testing.T) {
+	seen := map[uint64]bool{}
+	for range 200 {
+		g := New(Config{MaxNodes: 40})
+		for i := range 60 {
+			g.Observe([]string{fmt.Sprintf("ip:%d", i), "fp:1"}, float64(i%9+1)/10)
+		}
+		if g.Stats().Evicted == 0 {
+			t.Fatal("setup: no eviction")
+		}
+		c, _ := g.Lookup("fp:1")
+		seen[math.Float64bits(c.Score)] = true
+	}
+	if len(seen) != 1 {
+		t.Fatalf("200 identical runs gave %d distinct scores", len(seen))
+	}
+}
+
+// TestObserveBytesMatchesObserve feeds one random observation sequence
+// through Observe and through ObserveBytes (keys in a buffer reused and
+// overwritten every call) under budgets small enough to hit node
+// eviction and edge-only eviction. The graphs must agree on Stats after
+// every step and bitwise on every key's component.
+func TestObserveBytesMatchesObserve(t *testing.T) {
+	for seed := range int64(8) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{MaxNodes: 48, MaxEdges: 24, MinSize: 3, MinTypes: 2, FlagScore: 2}
+		gs, gb := New(cfg), New(cfg)
+		prefixes := []string{"fp:", "ip:", "bk:", "nm:", "ph:"}
+		all := map[string]bool{}
+		var nodeEvictions, edgeEvictions int
+		var buf []byte
+		for range 600 {
+			n := 1 + rng.Intn(4)
+			strs := make([]string, n)
+			ends := make([]int, n)
+			buf = buf[:0]
+			for j := range strs {
+				if rng.Intn(8) == 0 {
+					strs[j] = "" // empty keys are skipped by both
+				} else {
+					// A small hot pool braids edges; rare cold keys
+					// push the node count over its budget.
+					id := rng.Intn(6)
+					if rng.Intn(12) == 0 {
+						id = rng.Intn(200)
+					}
+					strs[j] = fmt.Sprintf("%s%d", prefixes[rng.Intn(len(prefixes))], id)
+				}
+				buf = append(buf, strs[j]...)
+				ends[j] = len(buf)
+				all[strs[j]] = true
+			}
+			bs := make([][]byte, n)
+			for j := range bs {
+				start := 0
+				if j > 0 {
+					start = ends[j-1]
+				}
+				bs[j] = buf[start:ends[j]]
+			}
+			weak := float64(rng.Intn(10)) / 10
+			before := gs.Stats()
+			gs.Observe(strs, weak)
+			gb.ObserveBytes(bs, weak)
+			clear(buf)
+			ss, sb := gs.Stats(), gb.Stats()
+			if ss != sb {
+				t.Fatalf("seed %d: Stats %+v (Observe) vs %+v (ObserveBytes)", seed, ss, sb)
+			}
+			switch {
+			case ss.Evicted > before.Evicted:
+				nodeEvictions++
+			case ss.Edges < before.Edges:
+				edgeEvictions++
+			}
+		}
+		if nodeEvictions == 0 || edgeEvictions == 0 {
+			t.Fatalf("seed %d: eviction paths not both hit (node %d, edge-only %d)", seed, nodeEvictions, edgeEvictions)
+		}
+		for k := range all {
+			cs, oks := gs.Lookup(k)
+			cb, okb := gb.Lookup(k)
+			if oks != okb || cs.Size != cb.Size || cs.Types != cb.Types || cs.Flagged != cb.Flagged ||
+				math.Float64bits(cs.Score) != math.Float64bits(cb.Score) {
+				t.Fatalf("seed %d: %q: %+v/%v (Observe) vs %+v/%v (ObserveBytes)", seed, k, cs, oks, cb, okb)
+			}
+		}
+	}
+}
+
+// TestObserveBytesKnownEntitiesZeroAllocs pins the steady-state write
+// path: once every key is a known node, ObserveBytes allocates nothing.
+func TestObserveBytesKnownEntitiesZeroAllocs(t *testing.T) {
+	g := New(Config{})
+	keys := [][]byte{[]byte("fp:1a2b"), []byte("ip:192.0.2.1"), []byte("bk:PNR00001")}
+	g.ObserveBytes(keys, 0.1)
+	if avg := testing.AllocsPerRun(256, func() { g.ObserveBytes(keys, 0.1) }); avg != 0 {
+		t.Fatalf("ObserveBytes on known entities allocates %v/op, want 0", avg)
+	}
+}
+
 func TestEdgeBudget(t *testing.T) {
 	g := New(Config{MaxNodes: 1 << 10, MaxEdges: 32})
 	for i := range 100 {
@@ -276,4 +384,32 @@ func BenchmarkFlaggedBytes(b *testing.B) {
 	for b.Loop() {
 		g.FlaggedBytes(key)
 	}
+}
+
+// BenchmarkEntityGraphObserve measures one steady-state observation — a
+// fingerprint, an address and a booking reference, all known nodes —
+// through the string and the byte entry points.
+func BenchmarkEntityGraphObserve(b *testing.B) {
+	g := New(Config{})
+	for i := range 1000 {
+		g.Observe([]string{
+			fmt.Sprintf("fp:%04d", i),
+			fmt.Sprintf("ip:%04d", i%97),
+			fmt.Sprintf("bk:%04d", i%31),
+		}, 0.01)
+	}
+	strs := []string{"fp:0500", "ip:0015", "bk:0004"}
+	bs := [][]byte{[]byte(strs[0]), []byte(strs[1]), []byte(strs[2])}
+	b.Run("string", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			g.Observe(strs, 0.01)
+		}
+	})
+	b.Run("bytes", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			g.ObserveBytes(bs, 0.01)
+		}
+	})
 }

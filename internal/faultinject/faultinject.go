@@ -81,11 +81,11 @@ type Injector struct {
 	mu  sync.Mutex
 	rng *simrand.RNG
 
-	errors    atomic.Uint64
-	panics    atomic.Uint64
-	stalls    atomic.Uint64
-	outages   atomic.Uint64
-	calls     atomic.Uint64
+	errors  atomic.Uint64
+	panics  atomic.Uint64
+	stalls  atomic.Uint64
+	outages atomic.Uint64
+	calls   atomic.Uint64
 }
 
 // New returns an injector for cfg.

@@ -49,6 +49,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -967,6 +968,76 @@ func cookieValue(r *http.Request, name string) string {
 		}
 	}
 	return ""
+}
+
+// QueryValue returns key's first value in rawQuery — exactly what
+// url.ParseQuery(rawQuery).Get(key) returns — without building the
+// url.Values map. Pairs holding a ';' or a malformed escape are skipped,
+// as ParseQuery skips them. The value is a substring of rawQuery unless
+// it holds a '%' or '+', the only case that allocates, so decision hooks
+// and ResourceKey functions can read a request's parameters per request
+// for free.
+func QueryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if !queryKeyIs(k, key) {
+			continue
+		}
+		if !strings.ContainsAny(v, "%+") {
+			return v
+		}
+		if u, err := url.QueryUnescape(v); err == nil {
+			return u
+		}
+	}
+	return ""
+}
+
+// queryKeyIs reports whether the query-escaped k unescapes to want,
+// decoding in step with the comparison. A malformed escape never matches.
+func queryKeyIs(k, want string) bool {
+	j := 0
+	for i := 0; i < len(k); i++ {
+		c := k[i]
+		switch c {
+		case '%':
+			if i+2 >= len(k) {
+				return false
+			}
+			hi, okh := unhex(k[i+1])
+			lo, okl := unhex(k[i+2])
+			if !okh || !okl {
+				return false
+			}
+			c = hi<<4 | lo
+			i += 2
+		case '+':
+			c = ' '
+		}
+		if j >= len(want) || want[j] != c {
+			return false
+		}
+		j++
+	}
+	return j == len(want)
+}
+
+// unhex decodes one hexadecimal digit.
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }
 
 // remoteIP resolves the client address, honouring X-Forwarded-For only

@@ -95,7 +95,7 @@ func (d *RuleDeployer) OnDecision(r *http.Request, info httpgate.ClientInfo, den
 	}
 	now := d.clock.Now()
 	if d.decoys != nil && deniedBy == "" {
-		if ref := r.URL.Query().Get("pnr"); ref != "" && d.decoys.IsDecoy(ref) {
+		if ref := httpgate.QueryValue(r.URL.RawQuery, "pnr"); ref != "" && d.decoys.IsDecoy(ref) {
 			d.decoys.RecordHit(ref, info.Fingerprint, info.ClientKey, now)
 			d.mu.Lock()
 			d.deployLocked(info.Fingerprint, now)

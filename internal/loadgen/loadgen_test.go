@@ -281,6 +281,33 @@ func TestRuleDeployerWindowAndThreshold(t *testing.T) {
 	}
 }
 
+// TestRuleDeployerZeroAllocs pins the defender hook's steady state: a
+// known fingerprint past its threshold, on a watched path, touching a
+// booking reference that is not a decoy, allocates nothing — the
+// reference is read without parsing the query.
+func TestRuleDeployerZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	clock := simclock.NewManual(t0)
+	decoys := mitigate.NewDecoySet(1, []string{ResourceRef(0)}, 2)
+	d := NewRuleDeployer(RuleDeployerConfig{
+		Blocks: mitigate.NewBlockList(0), Clock: clock, Threshold: 3,
+		Window: time.Minute, Paths: []string{PathHold}, Decoys: decoys,
+	})
+	r := httptest.NewRequest(http.MethodGet, PathHold+"?seat=12A&pnr="+ResourceRef(1), nil)
+	info := httpgate.ClientInfo{Fingerprint: 0xbeef, HasFingerprint: true, ClientKey: "c-1"}
+	for range 4 {
+		d.OnDecision(r, info, "")
+	}
+	if len(d.Rules()) != 1 {
+		t.Fatalf("setup: rules %+v, want one", d.Rules())
+	}
+	if avg := testing.AllocsPerRun(256, func() { d.OnDecision(r, info, "") }); avg != 0 {
+		t.Fatalf("RuleDeployer.OnDecision allocates %v/op in steady state, want 0", avg)
+	}
+}
+
 func TestScenarioValidate(t *testing.T) {
 	cases := []struct {
 		name string

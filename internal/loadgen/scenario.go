@@ -25,9 +25,10 @@
 package loadgen
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"time"
 
 	"funabuse/internal/simrand"
@@ -235,15 +236,16 @@ func BuildPlan(sc Scenario) (*Plan, error) {
 			phaseStart = phaseEnd
 		}
 	}
-	sort.SliceStable(arrivals, func(i, j int) bool {
-		ai, aj := arrivals[i], arrivals[j]
-		if !ai.At.Equal(aj.At) {
-			return ai.At.Before(aj.At)
+	// (At, Class, Seq) is unique — Seq numbers each class's arrivals — so an
+	// unstable sort yields the one total order.
+	slices.SortFunc(arrivals, func(a, b Arrival) int {
+		if c := a.At.Compare(b.At); c != 0 {
+			return c
 		}
-		if ai.Class != aj.Class {
-			return ai.Class < aj.Class
+		if c := cmp.Compare(a.Class, b.Class); c != 0 {
+			return c
 		}
-		return ai.Seq < aj.Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	return &Plan{Scenario: sc, Arrivals: arrivals}, nil
 }

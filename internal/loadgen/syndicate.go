@@ -2,7 +2,7 @@ package loadgen
 
 import (
 	"net/http"
-	"sync"
+	"strconv"
 	"time"
 
 	"funabuse/internal/entitygraph"
@@ -64,15 +64,12 @@ type GraphFeederConfig struct {
 // into one entity-graph observation. The graph does the rest: shared
 // resources union the observations into components, and the gate's
 // entity layer denies identities whose component crosses the flag
-// thresholds. It is driven from the gate's serving goroutines and
-// synchronises itself.
+// thresholds. It is driven from the gate's serving goroutines; the graph
+// synchronises itself, and the feeder keeps no shared scratch.
 type GraphFeeder struct {
 	graph *entitygraph.Graph
 	weak  float64
 	watch map[string]bool
-
-	mu   sync.Mutex
-	keys []string
 }
 
 // NewGraphFeeder returns a feeder observing into cfg.Graph.
@@ -88,25 +85,41 @@ func NewGraphFeeder(cfg GraphFeederConfig) *GraphFeeder {
 // request is evidence, whatever its verdict: a denied request still
 // demonstrates the co-occurrence of its identities, and observing it
 // keeps the component's score honest.
+//
+// The node keys — the same "fp:", "ip:" and "bk:" keys the entitygraph
+// constructors build — are assembled in a stack buffer and observed as
+// bytes, so a request whose entities the graph already knows allocates
+// nothing.
 func (f *GraphFeeder) OnDecision(r *http.Request, info httpgate.ClientInfo, deniedBy string) {
 	if len(f.watch) > 0 && !f.watch[r.URL.Path] {
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	keys := f.keys[:0]
+	pnr := httpgate.QueryValue(r.URL.RawQuery, "pnr")
+	var arr [128]byte
+	var ends [3]int
+	buf, n := arr[:0], 0
 	if info.HasFingerprint {
-		keys = append(keys, entitygraph.FingerprintKey(info.Fingerprint))
+		buf = append(buf, "fp:"...)
+		buf = strconv.AppendUint(buf, info.Fingerprint, 16)
+		ends[n], n = len(buf), n+1
 	}
 	if info.IP != "" {
-		keys = append(keys, entitygraph.IPKey(info.IP))
+		buf = append(buf, "ip:"...)
+		buf = append(buf, info.IP...)
+		ends[n], n = len(buf), n+1
 	}
-	if pnr := r.URL.Query().Get("pnr"); pnr != "" {
-		keys = append(keys, entitygraph.BookingKey(pnr))
+	if pnr != "" {
+		buf = append(buf, "bk:"...)
+		buf = append(buf, pnr...)
+		ends[n], n = len(buf), n+1
 	}
-	f.keys = keys
-	if len(keys) < 2 {
+	if n < 2 {
 		return
 	}
-	f.graph.Observe(keys, f.weak)
+	// Slice the keys only once buf has stopped growing.
+	var keys [3][]byte
+	for i, start := 0, 0; i < n; i++ {
+		keys[i], start = buf[start:ends[i]], ends[i]
+	}
+	f.graph.ObserveBytes(keys[:n], f.weak)
 }

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,6 +143,37 @@ func TestGraphFeederObserves(t *testing.T) {
 	f.OnDecision(hold, other, "")
 	if !g.Flagged(entitygraph.FingerprintKey(0xfeed)) || !g.Flagged(entitygraph.FingerprintKey(0xbeef)) {
 		t.Fatalf("ring not flagged: %+v", g.Stats())
+	}
+
+	// Keys longer than the feeder's stack buffer land on the same nodes
+	// the string constructors name.
+	long := strings.Repeat("R", 200)
+	v6 := httpgate.ClientInfo{IP: "2001:db8:85a3::8a2e:370:7334", Fingerprint: 0xffffffffffffffff, HasFingerprint: true}
+	f.OnDecision(httptest.NewRequest(http.MethodGet, PathHold+"?pnr="+long, nil), v6, "")
+	for _, k := range []string{entitygraph.FingerprintKey(v6.Fingerprint), entitygraph.IPKey(v6.IP), entitygraph.BookingKey(long)} {
+		if c, ok := g.Lookup(k); !ok || c.Size != 3 {
+			t.Fatalf("%q: component %+v ok=%v, want the 3-node observation", k, c, ok)
+		}
+	}
+}
+
+// TestGraphFeederZeroAllocs pins the steady-state write hook: once a
+// request's fingerprint, address and booking reference are known nodes,
+// observing it allocates nothing — no query parse, no key strings.
+func TestGraphFeederZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	g := entitygraph.New(entitygraph.Config{})
+	f := NewGraphFeeder(GraphFeederConfig{Graph: g, Weak: 0.01, Paths: []string{PathHold}})
+	r := httptest.NewRequest(http.MethodGet, PathHold+"?seat=12A&pnr=PNR00001", nil)
+	info := httpgate.ClientInfo{IP: "203.0.5.9", Fingerprint: 0xfeed, HasFingerprint: true}
+	f.OnDecision(r, info, "")
+	if avg := testing.AllocsPerRun(256, func() { f.OnDecision(r, info, "") }); avg != 0 {
+		t.Fatalf("GraphFeeder.OnDecision allocates %v/op on known entities, want 0", avg)
+	}
+	if st := g.Stats(); st.Nodes != 3 || st.Edges != 2 {
+		t.Fatalf("graph %+v, want the 3-node star", st)
 	}
 }
 

@@ -114,7 +114,7 @@ func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *Rule
 	}
 	if cfg.ResourceLimit > 0 {
 		gcfg.ResourceKey = func(r *http.Request) string {
-			return r.URL.Query().Get("pnr")
+			return httpgate.QueryValue(r.URL.RawQuery, "pnr")
 		}
 	}
 	var deployer *RuleDeployer
